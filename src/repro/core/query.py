@@ -102,9 +102,12 @@ class EclipseQuery:
             ``"auto"`` (default), ``"baseline"``/``"base"``,
             ``"transform"``/``"tran"``, ``"quad"``/``"quadtree"`` or
             ``"cutting"``.  ``"auto"`` resolves through the cost-model
-            planner: the transformation algorithm for one-shot queries, with
-            a transparent fallback to the baseline when the ratio range
-            makes the transformation inapplicable (an upper bound of zero).
+            planner to the transformation algorithm for one-shot queries;
+            it applies to every ratio range, upper bounds of zero included.
+            The first query maps every point.  Later ones build the
+            session's raw skyline a slice at a time and, once it is built,
+            map only the skyline; a query with a zero upper bound still
+            maps every point (see :meth:`DatasetSession.run`).
         """
         return self._session.run(ratios=ratios, method=method)
 

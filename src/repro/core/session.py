@@ -16,12 +16,18 @@ The layering is::
       ↓
     kernels (repro.perf, repro.skyline.kernels, index build kernels)
 
-Single queries (:meth:`DatasetSession.run`) behave exactly like the
-algorithms run standalone — no hidden prefilters — so existing semantics and
-timings are preserved.  Batches (:meth:`DatasetSession.run_batch`) are where
-the sharing happens: one skyline, one corner-score matrix (a single stacked
-GEMM over the skyline points for *all* ratio specifications), one index
-build, instead of recomputing each per query.
+Single queries (:meth:`DatasetSession.run`) and batches
+(:meth:`DatasetSession.run_batch`) share one transform executor: a stacked
+corner GEMM over a row set, one corner-space skyline per ratio
+specification, and an exact tie filter that makes the answer independent of
+the row set.  The row set is the memoised raw skyline — every eclipse point
+is a raw skyline point when the upper ratio bounds are positive — or every
+row.  Batches always use the skyline.  Lone one-shots map every row until
+the skyline exists, and pay for it as they go: from the second one on, each
+spends as long as its own full-row map took on a pausable skyline build
+(see :meth:`DatasetSession.run`).  Batches share the rest too: one skyline,
+one corner-score matrix for *all* ratio specifications, one index build,
+instead of recomputing each per query.
 """
 
 from __future__ import annotations
@@ -41,7 +47,14 @@ from repro.core.plan import (
     UpdatePlan,
     canonical_method,
 )
-from repro.core.transform import eclipse_transform_indices
+# eclipse_transform_indices is not called here; perfbench/layers.py patches
+# this module's binding of it (the "transform.eclipse" span), so the import
+# stays until that wrap goes.
+from repro.core.transform import (
+    eclipse_transform_indices,
+    positive_upper_bounds,
+    tie_filter_mask,
+)
 from repro.core.weights import RatioVector, make_ratio_vector
 from repro.errors import (
     AlgorithmNotSupportedError,
@@ -63,6 +76,7 @@ from repro.perf.executor import (
 )
 from repro.skyline import incremental as _incremental
 from repro.skyline.api import skyline_indices as _skyline_indices
+from repro.skyline.kernels import BlockSFSBuild
 
 
 @dataclass(frozen=True)
@@ -104,7 +118,10 @@ class SessionStats:
     The batch acceptance contract rides on these: a
     :meth:`DatasetSession.run_batch` over any number of ratio specifications
     must increment ``skyline_builds``, ``corner_matrix_builds`` and
-    ``index_builds`` at most once each.
+    ``index_builds`` at most once each.  ``corner_matrix_builds`` counts
+    corner-score matrices mapped off the raw skyline; a map over every row
+    (a one-shot before the skyline exists, or a zero upper bound) is not
+    counted.
 
     The dynamic-core contract rides on the update counters:
     ``inserts_applied`` / ``deletes_applied`` count dataset rows,
@@ -333,6 +350,8 @@ class DatasetSession:
     _backend: Optional[str] = None
     _index_budget_bytes: Optional[int] = None
     _advisor: Optional[IndexAdvisor] = None
+    _transform_answered: bool = False
+    _skyline_build: Optional[BlockSFSBuild] = None
 
     def __init__(
         self,
@@ -386,6 +405,10 @@ class DatasetSession:
         # so the (expensive, doomed) build is never re-attempted.  Cleared
         # on updates — the dataset changed.
         self._degenerate_index_keys: Dict[Tuple, DegenerateHyperplaneError] = {}
+        # Set by the first lone one-shot that maps every row; later ones
+        # advance _skyline_build, the paused skyline build, until it is done.
+        self._transform_answered = False
+        self._skyline_build = None
         self.stats = SessionStats()
         self.last_plan: Optional[QueryPlan] = None
 
@@ -508,7 +531,13 @@ class DatasetSession:
         """
         if not self._skyline_cached():
             with self._kernel_scope():
-                self._skyline_idx = _skyline_indices(self._data, method="auto")
+                if self._skyline_build is not None:
+                    # Finish the build the one-shots paid for in part.
+                    self._skyline_build.advance()
+                    self._skyline_idx = self._skyline_build.indices()
+                else:
+                    self._skyline_idx = _skyline_indices(self._data, method="auto")
+            self._skyline_build = None
             self._skyline_generation = self._generation
             self.stats.skyline_builds += 1
         return self._skyline_idx
@@ -638,7 +667,8 @@ class DatasetSession:
         next access recomputes) and eager for indexes (a stale index would
         pin its pair arenas and the pre-update dataset), so batched queries
         keep amortising whatever survived the update and rebuild the rest
-        on demand.
+        on demand.  A skyline build that lone one-shots left paused (see
+        :meth:`run`) is finished first, so it is maintained in place too.
 
         An in-place index update that trips over unsplittable coincident
         duplicate hyperplanes (a
@@ -677,6 +707,8 @@ class DatasetSession:
                 index_invalidations=0,
             )
 
+        if self._skyline_build is not None:
+            self.skyline()
         self.stats.update_batches += 1
         next_generation = self._generation + 1
         num_inserts = int(insert_rows.shape[0])
@@ -945,13 +977,20 @@ class DatasetSession:
         return plan
 
     def run(self, ratios=None, method: str = "auto") -> EclipseResult:
-        """Run one eclipse query (same semantics as the standalone algorithms).
+        """Run one eclipse query.
 
         ``"auto"`` resolves through the planner (one-shot → the corner-score
-        transformation, with a transparent baseline fallback when the ratio
-        range makes the transformation inapplicable).  Single queries never
-        use hidden prefilters, so their results and timings match the
-        underlying algorithm exactly.
+        transformation, which applies to every ratio range, zero upper
+        bounds included).  The transformation runs on the executor
+        :meth:`run_batch` uses.  Until the session has a raw skyline, a
+        one-shot maps every row, so the first costs what the standalone
+        algorithm costs.  Each later one then spends as long again on a
+        skyline build that pauses between blocks, so no query pays for the
+        whole build at once and the build costs about what the full-row
+        maps before it cost.  Once the build is done, one-shots map only
+        the skyline, which :meth:`apply_updates` maintains in place.  A
+        spec with a zero upper bound always maps every row.  The answer is
+        byte-identical on every path, and to :meth:`run_batch`.
         """
         ratio_vector = self._resolve_ratios(ratios)
         canonical = canonical_method(method)
@@ -986,14 +1025,16 @@ class DatasetSession:
         * **baseline** — executed per query (its pairwise structure shares
           nothing), kept for explicit requests.
 
-        Results are positionally parallel to ``ratio_specs`` and identical
-        to independent :meth:`run` calls with the same method.  (The only
-        theoretical exception is the documented cross-path precision
-        boundary: the raw-space prefilter compares coordinates exactly,
-        while corner scores are float64 dot products that cannot see
-        sub-ulp coordinate differences.  A specification with a zero upper
-        bound disables the prefilter for the whole batch, because a zero
-        corner weight breaks the "skyline point" guarantee.)
+        Results are positionally parallel to ``ratio_specs`` and
+        byte-identical to independent :meth:`run` calls with the same
+        method.  Float64 corner scores cannot see sub-ulp coordinate
+        differences, so the transform executor ends with an exact tie filter
+        (:func:`~repro.core.transform.tie_filter_mask`) that drops
+        raw-dominated candidates whose corner scores tie their dominator's;
+        the index methods' raw-space prefilter drops the same points.  A
+        specification with a zero upper bound disables the prefilter for
+        the whole batch, because a zero corner weight breaks the "skyline
+        point" guarantee.
         """
         specs = [self._resolve_ratios(spec) for spec in ratio_specs]
         if not specs:
@@ -1028,7 +1069,7 @@ class DatasetSession:
                 # re-recorded so last_plan reflects what actually ran.
                 self.stats.index_builds_skipped = self.advisor.builds_skipped
                 self.plan(method="transform", num_queries=len(specs))
-                return self._run_batch_transform(specs)
+                return self._run_transform(specs)
             # One batched probe call for the whole batch: the index shares
             # one order-vector GEMM and one intersection-tree traversal
             # across all specifications (see EclipseIndex.query_indices_many).
@@ -1044,7 +1085,7 @@ class DatasetSession:
                 # failure is memoised per index configuration, and the plan
                 # is re-recorded so last_plan reflects what actually ran.
                 self.plan(method="transform", num_queries=len(specs))
-                return self._run_batch_transform(specs)
+                return self._run_transform(specs)
             with self._kernel_scope():
                 batch_indices = index.query_indices_many(specs)
             results = []
@@ -1064,51 +1105,91 @@ class DatasetSession:
             self._enforce_index_budget()
             return results
         if chosen == "transform":
-            return self._run_batch_transform(specs)
+            return self._run_transform(specs)
         return [self._execute_single(chosen, rv) for rv in specs]
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _run_batch_transform(self, specs: Sequence[RatioVector]) -> List[EclipseResult]:
-        if any(np.any(rv.highs <= 0.0) for rv in specs):
-            # A zero upper bound produces zero corner weights, for which
-            # raw-space dominance no longer implies corner-score dominance;
-            # fall back to independent full-dataset transforms.
-            return [self._execute_single("transform", rv) for rv in specs]
-        sky = self.skyline()
-        sky_points = self._data[sky]
+    def _run_transform(
+        self, specs: Sequence[RatioVector], one_shot: bool = False
+    ) -> List[EclipseResult]:
+        """The transform executor behind :meth:`run` and :meth:`run_batch`.
+
+        With every upper bound positive, each eclipse point is a raw skyline
+        point, so :meth:`_transform` maps only the memoised skyline.  A
+        lone one-shot (``one_shot``) without a cached skyline maps every
+        row instead, then — from the session's second such query on —
+        spends as long as that map took on the paused skyline build, so the
+        build costs about what the full-row maps before it cost.  A zero
+        upper bound disables the skyline prefilter for the whole batch:
+        each spec then maps every row, as a cold one-shot would.
+        """
+        if not all(positive_upper_bounds(rv) for rv in specs):
+            return [self._transform([rv], None)[0] for rv in specs]
+        if not one_shot or self._skyline_cached():
+            return self._transform(specs, self.skyline())
+        start = time.perf_counter()
+        results = self._transform(specs, None)
+        if self._transform_answered:
+            self._advance_skyline_build(time.perf_counter() - start)
+        self._transform_answered = True
+        return results
+
+    def _advance_skyline_build(self, budget: float) -> None:
+        """Spend about ``budget`` seconds on the paused raw-skyline build.
+
+        The build is block sort-filter-skyline (:class:`BlockSFSBuild`),
+        which returns the same indices as every other substrate; once its
+        last block is screened the result becomes the memoised skyline.
+        """
+        deadline = time.perf_counter() + budget
+        with self._kernel_scope():
+            if self._skyline_build is None:
+                self._skyline_build = BlockSFSBuild(self._data)
+            finished = self._skyline_build.advance(deadline)
+        if finished:
+            self.skyline()
+
+    def _transform(
+        self, specs: Sequence[RatioVector], rows: Optional[IndexArray]
+    ) -> List[EclipseResult]:
+        """Stacked corner GEMM over ``rows``, skyline per spec, tie filter.
+
+        ``rows`` are dataset positions to map (``None`` maps every row).
+        The tie filter reuses the corner rows the skyline step read, and
+        it makes the answer the same for every row set that contains the
+        raw skyline (see :func:`~repro.core.transform.tie_filter_mask`).
+        """
+        points = self._data if rows is None else self._data[rows]
         corners_per_spec = 2 ** (self.dimensions - 1)
         all_corners = np.vstack([rv.corner_weight_vectors() for rv in specs])
+        results = []
         with self._kernel_scope():
             # One GEMM for the batch, row-partitioned across the executor's
             # workers (row splits never re-associate partial sums, so the
             # product is byte-identical to the serial one).
-            corner_matrix = parallel_matmul(sky_points, all_corners.T)
-            self.stats.corner_matrix_builds += 1
-
-            results = []
+            corner_matrix = parallel_matmul(points, all_corners.T)
+            if rows is not None:
+                self.stats.corner_matrix_builds += 1
             for position, ratio_vector in enumerate(specs):
                 start = position * corners_per_spec
                 mapped = corner_matrix[:, start : start + corners_per_spec]
                 local = _skyline_indices(mapped, method="auto")
-                indices = np.sort(sky[local])
+                local = local[
+                    tie_filter_mask(points[local], mapped[local], ratio_vector)
+                ]
+                indices = np.sort(local if rows is None else rows[local])
                 self.stats.queries += 1
                 results.append(self._wrap(indices, "transform", ratio_vector))
         return results
 
     def _execute_single(self, method: str, ratio_vector: RatioVector) -> EclipseResult:
+        if method == "transform":
+            return self._run_transform([ratio_vector], one_shot=True)[0]
         if method == "baseline":
             with self._kernel_scope():
                 indices = eclipse_baseline_indices(self._data, ratio_vector)
-        elif method == "transform":
-            try:
-                with self._kernel_scope():
-                    indices = eclipse_transform_indices(self._data, ratio_vector)
-            except InvalidWeightRangeError:
-                with self._kernel_scope():
-                    indices = eclipse_baseline_indices(self._data, ratio_vector)
-                method = "baseline"
         elif method in INDEX_METHODS:
             key = index_cache_key(canonical_method(method), self._index_kwargs)
             if key not in self._indexes and not self.advisor.should_build(

@@ -46,9 +46,73 @@ from repro.errors import (
     InvalidWeightRangeError,
 )
 from repro.skyline.api import skyline_indices
+from repro.skyline.kernels import dominated_mask
 
 #: Supported mappings of :func:`eclipse_transform`.
 MAPPINGS = ("corner", "intercept")
+
+
+def positive_upper_bounds(ratios: RatioVector) -> bool:
+    """Whether every upper ratio bound of ``ratios`` is strictly positive.
+
+    Then each attribute carries a positive weight at some corner (the last
+    one carries weight 1 at all of them), so a raw-space dominator is also
+    an eclipse dominator: every eclipse point is a raw skyline point, and
+    raw dominance between two candidates decides between them.  A zero upper
+    bound zeroes an attribute at every corner and breaks both facts.
+    """
+    return bool(np.all(ratios.highs > 0.0))
+
+
+def tie_filter_mask(
+    points: np.ndarray, scores: np.ndarray, ratios: RatioVector
+) -> np.ndarray:
+    """Keep-mask of the exact tie filter over corner-space skyline candidates.
+
+    ``points`` are the raw rows of the candidates and ``scores`` their
+    corner-score rows.  Float64 corner scores cannot see sub-ulp coordinate
+    differences, so a raw-dominated twin such as ``(1e-300, .3, .3)`` ties
+    ``(0, .3, .3)`` at every corner and survives the corner-space skyline
+    with it.  Among candidates with identical score rows the filter keeps
+    only the raw-space skyline; it keeps everything when an upper bound is
+    zero (see :func:`positive_upper_bounds`).
+
+    Raw dominance between two survivors implies such a tie: with
+    nonnegative weights the dominator scores no higher at every corner, and
+    a strictly lower score anywhere would have removed the other.  The
+    filter therefore makes the answer independent of which superset of the
+    raw skyline was mapped.  Without ties it costs one sort of one column;
+    ties between exact duplicates only add one lexsort.
+    """
+    count = scores.shape[0]
+    keep = np.ones(count, dtype=bool)
+    if count < 2 or not positive_upper_bounds(ratios):
+        return keep
+    first = np.sort(scores[:, 0])
+    if not np.any(first[1:] == first[:-1]):
+        return keep
+    # Sorted by score row, each tie group is one run.  A run holding two
+    # distinct points has two distinct neighbours somewhere in it.
+    order = np.lexsort(scores.T[::-1])
+    ranked = scores[order]
+    ranked_points = points[order]
+    same = np.all(ranked[1:] == ranked[:-1], axis=1)
+    distinct = np.any(ranked_points[1:] != ranked_points[:-1], axis=1)
+    group = np.concatenate(([0], np.cumsum(~same)))
+    # Exact duplicates never dominate each other, so only a group holding
+    # two distinct points needs the raw-space check; duplicate rows are
+    # common (clipped generators), twins are rare.
+    mixed = np.zeros(group[-1] + 1, dtype=bool)
+    mixed[group[1:][same & distinct]] = True
+    if not mixed.any():
+        return keep
+    members = order[mixed[group]]
+    # Survivors only raw-dominate inside their own tie group, so one check
+    # over all members of mixed groups is the per-group check.  Collapsing
+    # duplicates keeps a duplicate-heavy group from turning it quadratic.
+    rows, inverse = np.unique(points[members], axis=0, return_inverse=True)
+    keep[members] = ~dominated_mask(rows, rows)[np.ravel(inverse)]
+    return keep
 
 
 def map_to_corner_scores(points: ArrayLike2D, ratios: RatioVector) -> np.ndarray:

@@ -23,9 +23,10 @@ other sequence number, so a torn or stale view is never served).
 (global ids + points).  Eclipse dominance in corner-score space is
 transitive, so the union of per-shard eclipses is a superset of the global
 eclipse that contains every global maximal element; one final exact filter
-over the merged candidates (the transformation, with the baseline fallback
-when the ratio range makes it inapplicable) reproduces the single-process
-answer byte for byte.
+over the merged candidates (the transformation plus the session's exact tie
+filter, which drops a raw-dominated twin whose float64 corner scores tie
+its dominator's even when the two sat on different shards) reproduces the
+single-process answer byte for byte.
 
 **Fault tolerance.**  Every worker round-trip carries a deadline; a missed
 deadline, broken pipe, dead process, or stale view is retried with bounded
@@ -54,14 +55,16 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.baseline import eclipse_baseline_indices
 from repro.core.dominance import as_dataset
-from repro.core.transform import eclipse_transform_indices
+from repro.core.transform import (
+    eclipse_transform_indices,
+    map_to_corner_scores,
+    tie_filter_mask,
+)
 from repro.core.weights import RatioVector, make_ratio_vector
 from repro.errors import (
     DeadlineExceededError,
     DimensionMismatchError,
-    InvalidWeightRangeError,
     ServiceError,
     WorkerCrashError,
 )
@@ -725,11 +728,13 @@ class EclipseService:
         gids = gids[order]
         points = points[order]
         if gids.size > 1:
-            try:
-                local = eclipse_transform_indices(points, spec)
-            except InvalidWeightRangeError:
-                local = eclipse_baseline_indices(points, spec)
-            local = np.sort(np.asarray(local, dtype=np.intp))
+            local = np.sort(eclipse_transform_indices(points, spec))
+            # Twins from different shards both survive the corner-space
+            # skyline.  The tie filter needs the scores that skyline saw:
+            # the same product over the same rows as inside the call above
+            # (a product of another shape may round differently).
+            scores = map_to_corner_scores(points, spec)[local]
+            local = local[tie_filter_mask(points[local], scores, spec)]
             gids = gids[local]
             points = points[local]
         return gids, points

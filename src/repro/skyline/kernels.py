@@ -20,6 +20,7 @@ Kernels provided:
 * :func:`block_sfs_indices` — block sort-filter-skyline: presort by a
   monotone key, then screen candidates in blocks against the confirmed
   skyline matrix, resolving intra-block dominance with the same kernel.
+  :class:`BlockSFSBuild` is the same computation, pausable between blocks.
 * :func:`monotone_sort_order` — the shared presort (key sum with a
   lexicographic tie-break) that makes the one-directional screening of
   block-SFS and the baseline's prefix filter valid.
@@ -27,6 +28,8 @@ Kernels provided:
 
 from __future__ import annotations
 
+import math
+import time
 from typing import Optional
 
 import numpy as np
@@ -421,46 +424,109 @@ def block_sfs_indices(
     the confirmed window of all earlier ones), so the parallelism lives in
     the per-block screens, whose candidate chunks are independent.
     """
-    n = data.shape[0]
-    if n == 0:
+    if data.shape[0] == 0:
         return np.empty(0, dtype=np.intp)
-    sums = data.sum(axis=1)
-    order = monotone_sort_order(data, sums=sums)
-    ranked = data[order]
-    ranked_sums = sums[order]
-
-    confirmed = GrowableBuffer(
-        data.shape[1], capacity=min(1024, max(64, n // 8)), track_sums=True
+    build = BlockSFSBuild(
+        data,
+        block_size=block_size,
+        memory_cap=memory_cap,
+        threads=threads,
+        compute_dtype=compute_dtype,
     )
-    for start, stop in iter_blocks(n, block_size):
-        block = ranked[start:stop]
-        block_sums = ranked_sums[start:stop]
+    build.advance()
+    return build.indices()
+
+
+class BlockSFSBuild:
+    """A :func:`block_sfs_indices` computation that can pause between blocks.
+
+    The confirmed window after any block is the skyline of every row
+    screened so far (later rows in the monotone order cannot dominate
+    earlier ones), so the computation can stop after any block and resume
+    later with nothing recomputed.  :meth:`advance` runs blocks until a
+    deadline passes; callers that want a skyline without paying for it in
+    one go spread the blocks over several calls.  The state is plain
+    arrays, so a paused build pickles.
+    """
+
+    def __init__(
+        self,
+        data: np.ndarray,
+        block_size: int = DEFAULT_BLOCK_SIZE,
+        memory_cap: Optional[int] = None,
+        threads: Optional[int] = None,
+        compute_dtype: Optional[str] = None,
+    ):
+        if block_size <= 0:
+            raise ValueError("block_size must be positive")
+        n = data.shape[0]
+        sums = data.sum(axis=1)
+        self._order = monotone_sort_order(data, sums=sums)
+        self._ranked = data[self._order]
+        self._ranked_sums = sums[self._order]
+        self._block_size = int(block_size)
+        self._position = 0
+        self._memory_cap = memory_cap
+        self._threads = threads
+        self._compute_dtype = compute_dtype
+        self._confirmed = GrowableBuffer(
+            data.shape[1], capacity=min(1024, max(64, n // 8)), track_sums=True
+        )
+
+    @property
+    def done(self) -> bool:
+        """Whether every row has been screened."""
+        return self._position >= self._ranked.shape[0]
+
+    def advance(self, deadline: float = math.inf) -> bool:
+        """Screen blocks until ``time.perf_counter()`` reaches ``deadline``.
+
+        A call on an unfinished build screens at least one block, so
+        repeated calls always finish.  Returns :attr:`done`.
+        """
+        timed = deadline < math.inf
+        while self._position < self._ranked.shape[0]:
+            self._screen_block()
+            if timed and time.perf_counter() >= deadline:
+                break
+        return self.done
+
+    def indices(self) -> IndexArray:
+        """Sorted skyline indices; only valid once :attr:`done`."""
+        return np.sort(self._confirmed.indices)
+
+    def _screen_block(self) -> None:
+        start = self._position
+        stop = min(start + self._block_size, self._ranked.shape[0])
+        self._position = stop
+        confirmed = self._confirmed
+        block = self._ranked[start:stop]
+        block_sums = self._ranked_sums[start:stop]
         screened = dominated_mask(
             block,
             confirmed.rows,
-            memory_cap=memory_cap,
+            memory_cap=self._memory_cap,
             cand_sums=block_sums,
             dom_sums=confirmed.sums,
-            threads=threads,
-            compute_dtype=compute_dtype,
+            threads=self._threads,
+            compute_dtype=self._compute_dtype,
         )
         keep = ~screened
         survivors = block[keep]
-        survivor_idx = order[start:stop][keep]
+        survivor_idx = self._order[start:stop][keep]
         survivor_sums = block_sums[keep]
         if survivors.shape[0] > 1:
             intra = dominated_mask(
                 survivors,
                 survivors,
-                memory_cap=memory_cap,
+                memory_cap=self._memory_cap,
                 cand_sums=survivor_sums,
                 dom_sums=survivor_sums,
-                threads=threads,
-                compute_dtype=compute_dtype,
+                threads=self._threads,
+                compute_dtype=self._compute_dtype,
             )
             keep = ~intra
             survivors = survivors[keep]
             survivor_idx = survivor_idx[keep]
             survivor_sums = survivor_sums[keep]
         confirmed.append_batch(survivors, survivor_idx, sums=survivor_sums)
-    return np.sort(confirmed.indices)

@@ -17,13 +17,17 @@ from repro.skyline.api import skyline_indices
 # Strategies
 # ----------------------------------------------------------------------
 # Coordinates are quantised to six decimals.  The corner-score formation of
-# BASE/TRAN is floating point (``data @ corners.T``): a coordinate difference
-# whose contribution to a score falls below one ulp of the other terms (e.g.
-# 2.5e-260 against 1.0) is unrepresentable there, while the raw-space
-# skyline prefilter of the index path compares coordinates exactly — so
-# sub-ulp differences make the algorithms legitimately diverge.  The paper
-# defines the operator over reals; the fuzz targets logic, not sub-ulp
-# arithmetic, so we keep magnitudes inside float64's exact-comparison range.
+# the standalone BASE/TRAN functions is floating point (``data @ corners.T``):
+# a coordinate difference whose contribution to a score falls below one ulp
+# of the other terms (e.g. 2.5e-260 against 1.0) is unrepresentable there.
+# Every DatasetSession path (cold and warm ``run``, ``run_batch``, the index
+# methods, the sharded service) drops such raw-dominated twins — the index
+# path through its raw-space prefilter, the transformation through its exact
+# tie filter — so the sub-ulp divergence now sits only between the
+# standalone paper functions and the session (tests/core/test_exact_path.py
+# pins it).  The paper defines the operator over reals; this fuzz targets
+# logic, not sub-ulp arithmetic, so magnitudes stay inside float64's
+# exact-comparison range.
 coordinates = st.floats(
     min_value=0.0, max_value=100.0, allow_nan=False, allow_infinity=False
 ).map(lambda value: round(value, 6))

@@ -97,6 +97,29 @@ class TestExactShardedAnswers:
                 service, reference, ref_gids, _specs(2, count=3)
             )
 
+    @pytest.mark.parametrize("gap", [1, 6], ids=["split_twins", "same_shard"])
+    @pytest.mark.parametrize("num_shards", [1, 2, 3])
+    def test_sub_ulp_twins_match_single_process(self, num_shards, gap):
+        # Two raw-dominated twins whose float64 corner scores tie their
+        # dominators'.  A gap of 6 gids keeps each pair on one shard for
+        # 1-3 shards; with 2 or 3 shards a gap of 1 splits it, and only the
+        # merge sees both members.
+        data = np.random.default_rng(0).uniform(0.2, 1.0, (72, 3))
+        for at, dominator, twin in (
+            (60, (0.0, 0.3, 0.3), (1e-300, 0.3, 0.3)),
+            (64, (0.3, 0.0, 0.3), (0.3, 5e-324, 0.3)),
+        ):
+            data[at] = dominator
+            data[at + gap] = twin
+        spec = RatioVector.uniform(0.5, 2.0, 3)
+        want = DatasetSession(data).run(spec)
+        assert want.indices.tolist() == [60, 64]
+        config = ServiceConfig(num_shards=num_shards, backoff_base=0.01)
+        with EclipseService(data, config=config) as service:
+            got = service.query(spec)
+        assert got.gids.tolist() == [60, 64]
+        assert got.points.tobytes() == want.points.tobytes()
+
 
 class TestAdmissionBatching:
     def test_window_coalesces_and_counts(self):

@@ -27,6 +27,7 @@ from repro.perf.blocking import (
 )
 from repro.skyline.api import skyline_indices
 from repro.skyline.kernels import (
+    BlockSFSBuild,
     block_sfs_indices,
     dominated_mask,
     dominates_matrix,
@@ -238,6 +239,19 @@ class TestBlockSfs:
         data = dataset_with_ties("anti", 150, 3, seed=20)
         expected = naive_skyline_indices(data).tolist()
         assert block_sfs_indices(data, block_size=block_size).tolist() == expected
+
+    def test_paused_build_matches_one_pass(self):
+        # A deadline already in the past still screens one block per call,
+        # so the paused build finishes after ceil(n / block) calls with the
+        # one-pass answer.
+        data = dataset_with_ties("anti", 150, 3, seed=20)
+        build = BlockSFSBuild(data, block_size=64)
+        calls = 0
+        while not build.advance(deadline=0.0):
+            calls += 1
+        assert calls + 1 == 3
+        assert build.indices().tolist() == naive_skyline_indices(data).tolist()
+        assert build.advance() and build.done
 
     def test_monotone_sort_order_is_monotone(self):
         rng = np.random.default_rng(8)
